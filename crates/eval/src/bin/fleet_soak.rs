@@ -19,7 +19,7 @@ use isegen_serve::json::{self, Json};
 use isegen_serve::{ServeCache, Service};
 use isegen_workloads::{workloads_in_tiers, SizeTier};
 use std::io::{BufRead, BufReader, Write as _};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -147,13 +147,24 @@ fn strip_cache(response: &Json) -> String {
     }
 }
 
-/// One line-framed request/response over an existing connection.
+/// Connects a client socket with `TCP_NODELAY` set, so no request waits
+/// on the router's delayed ACK.
+fn connect(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// One line-framed request/response over an existing connection; the
+/// request leaves in one write.
 fn roundtrip(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
     request: &str,
 ) -> Result<Json, String> {
-    writeln!(stream, "{request}").map_err(|e| format!("send: {e}"))?;
+    stream
+        .write_all(format!("{request}\n").as_bytes())
+        .map_err(|e| format!("send: {e}"))?;
     let mut line = String::new();
     reader
         .read_line(&mut line)
@@ -282,7 +293,7 @@ fn main() {
                 let transport_errors = &transport_errors;
                 let hits = &hits;
                 scope.spawn(move || {
-                    let mut stream = match TcpStream::connect(addr) {
+                    let mut stream = match connect(addr) {
                         Ok(s) => s,
                         Err(e) => {
                             eprintln!("fleet_soak: client {c} cannot connect: {e}");
@@ -343,7 +354,7 @@ fn main() {
         }
         let mut warm_hits = 0u64;
         let mut warm_failures = 0u64;
-        let mut warm_conn = TcpStream::connect(addr).expect("warm connect");
+        let mut warm_conn = connect(addr).expect("warm connect");
         let _ = warm_conn.set_read_timeout(Some(Duration::from_secs(300)));
         let mut warm_reader = BufReader::new(warm_conn.try_clone().expect("clone"));
         for (w, request) in select_requests.iter().enumerate() {

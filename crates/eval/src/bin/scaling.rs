@@ -36,11 +36,11 @@ struct Row {
     sequential_ms: f64,
     batched_ms: f64,
     /// Sequential driver with an intra-block portfolio fan-out
-    /// (`--portfolio N`); NaN when the portfolio gate is off.
-    portfolio_ms: f64,
+    /// (`--portfolio N`); `None` when the portfolio gate is off.
+    portfolio_ms: Option<f64>,
     /// Driver wall time with the multilevel pipeline (`--multilevel`);
-    /// NaN when the multilevel gate is off.
-    multilevel_ms: f64,
+    /// `None` when the multilevel gate is off.
+    multilevel_ms: Option<f64>,
     /// Saved cycles of the multilevel selection; 0 when the gate is off.
     multilevel_saved: u64,
     /// Saved cycles of the single-level baseline selection.
@@ -91,9 +91,9 @@ fn run_workload(spec: &WorkloadSpec, threads: usize, portfolio: usize, multileve
             "{}: portfolio-parallel search diverged from sequential at {portfolio} threads",
             spec.name
         );
-        elapsed
+        Some(elapsed)
     } else {
-        f64::NAN
+        None
     };
 
     // Multilevel gate: each *search* under the pipeline reaches ≥ the
@@ -119,9 +119,9 @@ fn run_workload(spec: &WorkloadSpec, threads: usize, portfolio: usize, multileve
             ml.saved_cycles,
             sequential.saved_cycles
         );
-        (elapsed, ml.saved_cycles)
+        (Some(elapsed), ml.saved_cycles)
     } else {
-        (f64::NAN, 0)
+        (None, 0)
     };
     Row {
         name: spec.name,
@@ -227,7 +227,7 @@ fn main() {
     for spec in &specs {
         let row = run_workload(spec, threads, portfolio, multilevel);
         println!(
-            "  {:>14} [{:>10}/{:<6}] n={:<5} ises={} instances={:<3} speedup={:<5.2} seq {:>9.2} ms  batched {:>9.2} ms  portfolio {:>9.2} ms  multilevel {:>9.2} ms",
+            "  {:>14} [{:>10}/{:<6}] n={:<5} ises={} instances={:<3} speedup={:<5.2} seq {:>9.2} ms  batched {:>9.2} ms  portfolio {:>12}  multilevel {:>12}",
             row.name,
             row.category,
             row.tier,
@@ -237,8 +237,8 @@ fn main() {
             row.speedup,
             row.sequential_ms,
             row.batched_ms,
-            row.portfolio_ms,
-            row.multilevel_ms
+            row.portfolio_ms.map_or("off".into(), |ms| format!("{ms:.2} ms")),
+            row.multilevel_ms.map_or("off".into(), |ms| format!("{ms:.2} ms"))
         );
         rows.push(row);
     }
@@ -263,16 +263,8 @@ fn main() {
             "    {{\"workload\": \"{}\", \"category\": \"{}\", \"tier\": \"{}\", \"ops\": {}, \"blocks\": {}, \"ises\": {}, \"instances\": {}, \"speedup\": {:.4}, \"saved_cycles\": {}, \"sequential_ms\": {:.3}, \"batched_ms\": {:.3}, \"portfolio_ms\": {}, \"multilevel_ms\": {}, \"multilevel_saved_cycles\": {}}}{}",
             r.name, r.category, r.tier, r.ops, r.blocks, r.ises, r.instances, r.speedup,
             r.saved_cycles, r.sequential_ms, r.batched_ms,
-            if r.portfolio_ms.is_nan() {
-                "null".to_string()
-            } else {
-                format!("{:.3}", r.portfolio_ms)
-            },
-            if r.multilevel_ms.is_nan() {
-                "null".to_string()
-            } else {
-                format!("{:.3}", r.multilevel_ms)
-            },
+            r.portfolio_ms.map_or("null".into(), |ms| format!("{ms:.3}")),
+            r.multilevel_ms.map_or("null".into(), |ms| format!("{ms:.3}")),
             r.multilevel_saved,
             if i + 1 < rows.len() { "," } else { "" }
         );

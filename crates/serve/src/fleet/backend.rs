@@ -259,6 +259,7 @@ impl Backend {
         let addr = self.addr().ok_or(BackendError::NotRunning)?;
         let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)
             .map_err(BackendError::Io)?;
+        stream.set_nodelay(true).map_err(BackendError::Io)?;
         stream
             .set_read_timeout(Some(wire::POLL_INTERVAL))
             .map_err(BackendError::Io)?;

@@ -693,6 +693,7 @@ impl Router {
     }
 
     fn handle_connection(&self, stream: TcpStream) -> io::Result<()> {
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(wire::POLL_INTERVAL))?;
         stream.set_write_timeout(Some(Duration::from_secs(30)))?;
         let mut writer = stream.try_clone()?;
@@ -713,11 +714,7 @@ impl Router {
                         Framing::Prefixed => limits.max_frame,
                     };
                     let err = ProtoError::new("protocol", format!("request exceeds {cap} bytes"));
-                    self.respond(
-                        &mut writer,
-                        err.to_response().to_string().as_bytes(),
-                        framing,
-                    )?;
+                    self.respond(&mut writer, &err.to_response(), framing)?;
                     match framing {
                         Framing::Line => continue,
                         Framing::Prefixed => return Ok(()),
@@ -728,20 +725,12 @@ impl Router {
                         "timeout",
                         "request did not complete within the read deadline",
                     );
-                    let _ = self.respond(
-                        &mut writer,
-                        err.to_response().to_string().as_bytes(),
-                        Framing::Line,
-                    );
+                    let _ = self.respond(&mut writer, &err.to_response(), Framing::Line);
                     return Ok(());
                 }
                 FrameRead::Malformed(why) => {
                     let err = ProtoError::new("protocol", why);
-                    let _ = self.respond(
-                        &mut writer,
-                        err.to_response().to_string().as_bytes(),
-                        Framing::Line,
-                    );
+                    let _ = self.respond(&mut writer, &err.to_response(), Framing::Line);
                     return Ok(());
                 }
             };
@@ -757,7 +746,7 @@ impl Router {
                 match request.get("op").and_then(Json::as_str) {
                     Some("shutdown") => {
                         let ack = Json::obj([("ok", Json::Bool(true)), ("op", "shutdown".into())]);
-                        self.respond(&mut writer, ack.to_string().as_bytes(), framing)?;
+                        self.respond(&mut writer, &ack, framing)?;
                         self.request_stop();
                         return Ok(());
                     }
@@ -769,7 +758,7 @@ impl Router {
                                     .to_response()
                             }
                         };
-                        self.respond(&mut writer, response.to_string().as_bytes(), framing)?;
+                        self.respond(&mut writer, &response, framing)?;
                         continue;
                     }
                     Some("stats") => {
@@ -780,25 +769,26 @@ impl Router {
                                 self.connections.load(Ordering::Relaxed).into(),
                             ));
                         }
-                        self.respond(&mut writer, response.to_string().as_bytes(), framing)?;
+                        self.respond(&mut writer, &response, framing)?;
                         continue;
                     }
                     _ => {}
                 }
             }
-            let body = bytes.clone();
-            let response = catch_unwind(AssertUnwindSafe(|| self.fleet.handle(&body)))
+            let response = catch_unwind(AssertUnwindSafe(|| self.fleet.handle(&bytes)))
                 .unwrap_or_else(|_| {
                     ProtoError::new("internal", "router handler panicked; see router log")
                         .to_response()
                         .to_string()
                         .into_bytes()
                 });
-            self.respond(&mut writer, &response, framing)?;
+            wire::write_frame(&mut writer, &response, framing)?;
         }
     }
 
-    fn respond(&self, writer: &mut TcpStream, response: &[u8], framing: Framing) -> io::Result<()> {
-        wire::write_frame(writer, response, framing)
+    /// Serializes and writes one router-made response in the request's
+    /// framing.
+    fn respond(&self, writer: &mut TcpStream, response: &Json, framing: Framing) -> io::Result<()> {
+        wire::write_frame(writer, response.to_string().as_bytes(), framing)
     }
 }

@@ -41,8 +41,10 @@
 //! std::thread::scope(|scope| -> std::io::Result<()> {
 //!     let handle = scope.spawn(|| server.run());
 //!     let mut conn = std::net::TcpStream::connect(addr)?;
-//!     writeln!(conn, r#"{{"op":"ping"}}"#)?;
-//!     writeln!(conn, r#"{{"op":"shutdown"}}"#)?;
+//!     conn.set_nodelay(true)?;
+//!     // One write per request, newline included.
+//!     conn.write_all(b"{\"op\":\"ping\"}\n")?;
+//!     conn.write_all(b"{\"op\":\"shutdown\"}\n")?;
 //!     let mut lines = BufReader::new(conn).lines();
 //!     assert!(lines.next().unwrap()?.contains("pong"));
 //!     handle.join().expect("server thread")?;

@@ -199,6 +199,9 @@ impl Server {
         // A short socket timeout keeps the frame reader's idle/deadline
         // and stop checks responsive; `request_stop` additionally
         // half-closes the socket so waiting here ends instantly.
+        // No-delay: a response frame leaves at once instead of waiting
+        // for the client's delayed ACK (see the `wire` module docs).
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(wire::POLL_INTERVAL))?;
         stream.set_write_timeout(Some(Duration::from_secs(30)))?;
         let mut writer = stream.try_clone()?;

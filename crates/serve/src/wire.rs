@@ -25,8 +25,19 @@
 //!
 //! Both rely on the underlying stream having a short read timeout so
 //! the loop regains control periodically (see [`POLL_INTERVAL`]).
+//!
+//! # Write discipline
+//!
+//! [`write_frame`] hands a whole frame (header, body, terminator) to
+//! the writer in one vectored write, and every socket that carries
+//! frames (`ised` and router connections, router→shard requests) sets
+//! `TCP_NODELAY`. Together they keep a request/response exchange free
+//! of the Nagle/delayed-ACK stall: were a frame split over two sends,
+//! the second, small send would wait for the peer's delayed ACK
+//! (~40 ms on Linux) on every round trip. Clients should likewise send
+//! a request as one write.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -258,30 +269,49 @@ pub fn read_frame<R: BufRead>(
     }
 }
 
-/// Writes one frame in the requested framing and flushes. Large
-/// prefixed payloads are written in bounded chunks so a response never
-/// has to materialize as one giant contiguous write.
+/// Writes one frame in the requested framing and flushes.
+///
+/// Header, body and terminator go out together through one
+/// `write_vectored` call (repeated only when the writer takes part of
+/// the frame), so on a socket the frame leaves as one send and the body
+/// is never copied. The bytes are exactly `body` + `\n` for
+/// [`Framing::Line`] and `#<len>\n` + `body` + `\n` for
+/// [`Framing::Prefixed`].
 pub fn write_frame<W: Write>(writer: &mut W, body: &[u8], framing: Framing) -> io::Result<()> {
-    match framing {
+    let mut header = [0u8; MAX_HEADER_BYTES];
+    let header_len = match framing {
         Framing::Line => {
             debug_assert!(
                 !body.contains(&b'\n'),
                 "line framing cannot carry embedded newlines"
             );
-            writer.write_all(body)?;
+            0
         }
         Framing::Prefixed => {
-            let mut header = [0u8; MAX_HEADER_BYTES];
             let mut cursor = io::Cursor::new(&mut header[..]);
             writeln!(cursor, "#{}", body.len())?;
-            let n = cursor.position() as usize;
-            writer.write_all(&header[..n])?;
-            for piece in body.chunks(64 << 10) {
-                writer.write_all(piece)?;
+            cursor.position() as usize
+        }
+    };
+    let mut slices = [
+        IoSlice::new(&header[..header_len]),
+        IoSlice::new(body),
+        IoSlice::new(b"\n"),
+    ];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match writer.write_vectored(pending) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
             }
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 
@@ -381,6 +411,89 @@ mod tests {
         let frames = read_all(b"{\"op\":\"ping\"}\r\n", &WireLimits::default());
         assert_eq!(frames[0].0, FrameRead::Frame(Framing::Line));
         assert_eq!(frames[0].1, b"{\"op\":\"ping\"}");
+    }
+
+    /// A writer that records every write call and takes at most
+    /// `max_take` bytes per call.
+    struct CountingWriter {
+        calls: usize,
+        max_take: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl CountingWriter {
+        fn new(max_take: usize) -> Self {
+            CountingWriter {
+                calls: 0,
+                max_take,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.max_take - taken);
+                self.bytes.extend_from_slice(&buf[..take]);
+                taken += take;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The framing spelled out byte by byte: `body\n` or `#<len>\nbody\n`.
+    fn expected_wire(body: &[u8], framing: Framing) -> Vec<u8> {
+        let mut wire = match framing {
+            Framing::Line => Vec::new(),
+            Framing::Prefixed => format!("#{}\n", body.len()).into_bytes(),
+        };
+        wire.extend_from_slice(body);
+        wire.push(b'\n');
+        wire
+    }
+
+    #[test]
+    fn every_frame_is_one_write_call() {
+        let big: Vec<u8> = (0..(64 << 10) + 17)
+            .map(|i| b'a' + (i % 26) as u8)
+            .collect();
+        let cases: [(&[u8], Framing); 6] = [
+            (b"{\"op\":\"ping\"}", Framing::Line),
+            (b"", Framing::Line),
+            (b"{\"ir\":\"a\\nb\"}\nmore", Framing::Prefixed),
+            (b"", Framing::Prefixed),
+            (&big, Framing::Prefixed),
+            (&big, Framing::Line),
+        ];
+        for (body, framing) in cases {
+            let mut writer = CountingWriter::new(usize::MAX);
+            write_frame(&mut writer, body, framing).unwrap();
+            assert_eq!(writer.calls, 1, "{framing:?} frame of {} bytes", body.len());
+            assert_eq!(writer.bytes, expected_wire(body, framing));
+        }
+    }
+
+    #[test]
+    fn partial_writes_resume_where_they_stopped() {
+        let body: Vec<u8> = (0..1000).map(|i| b'a' + (i % 26) as u8).collect();
+        for framing in [Framing::Line, Framing::Prefixed] {
+            let mut writer = CountingWriter::new(7);
+            write_frame(&mut writer, &body, framing).unwrap();
+            let wire = expected_wire(&body, framing);
+            assert_eq!(writer.bytes, wire);
+            assert_eq!(writer.calls, wire.len().div_ceil(7));
+        }
     }
 
     #[test]

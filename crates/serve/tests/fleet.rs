@@ -284,7 +284,8 @@ fn router_front_serves_ping_stats_and_shutdown_over_tcp() {
                 .expect("timeout");
             let mut reader = BufReader::new(conn.try_clone().expect("clone"));
             let mut roundtrip = |request: &str| -> Json {
-                writeln!(conn, "{request}").expect("send");
+                conn.write_all(format!("{request}\n").as_bytes())
+                    .expect("send");
                 let mut line = String::new();
                 reader.read_line(&mut line).expect("receive");
                 json::parse(line.trim()).expect("response is JSON")
@@ -304,6 +305,72 @@ fn router_front_serves_ping_stats_and_shutdown_over_tcp() {
 
             let bye = roundtrip(r#"{"op":"shutdown"}"#);
             assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
+        }));
+        router.request_stop();
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
+    });
+    std::fs::remove_dir_all(&state_dir).ok();
+}
+
+/// Round trips through the router stay free of delayed-ACK stalls on
+/// both hops: 50 pings (answered by the router) and 50 warm selects by
+/// hash (forwarded to the shard and back) each finish in under a
+/// second. With a frame split over two sends on a Nagle socket, every
+/// response would wait ~40 ms for the peer's delayed ACK: about 2 s per
+/// batch. (20 stalled round trips still fit in a second, so 20 would
+/// not tell the two apart.)
+#[test]
+fn routed_round_trips_do_not_stall_on_delayed_ack() {
+    const REQUESTS: usize = 50;
+    const BUDGET: Duration = Duration::from_secs(1);
+    let fleet = Fleet::start(test_config(1, "latency")).expect("fleet");
+    let state_dir = fleet.config().state_dir.clone();
+    let router = Router::bind("127.0.0.1:0", fleet).expect("bind router");
+    let addr = router.local_addr();
+    let ir = workload_ir();
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| router.run().expect("router run"));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Nagle stays on client-side; each request is one write.
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            conn.set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+            let mut roundtrip = |request: &[u8]| -> Json {
+                let mut frame = request.to_vec();
+                frame.push(b'\n');
+                conn.write_all(&frame).expect("send");
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("receive");
+                json::parse(line.trim()).expect("response is JSON")
+            };
+
+            let start = Instant::now();
+            for _ in 0..REQUESTS {
+                let pong = roundtrip(br#"{"op":"ping"}"#);
+                assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
+            }
+            let elapsed = start.elapsed();
+            assert!(elapsed < BUDGET, "{REQUESTS} routed pings took {elapsed:?}");
+
+            let cold = roundtrip(&select_by_ir(&ir));
+            let app = cold.get("app").and_then(Json::as_str).expect("hash");
+            let by_hash = Json::obj([("op", "select".into()), ("app", app.into())])
+                .to_string()
+                .into_bytes();
+            let start = Instant::now();
+            for _ in 0..REQUESTS {
+                let warm = roundtrip(&by_hash);
+                assert_eq!(warm.get("cache").and_then(Json::as_str), Some("hit"));
+            }
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < BUDGET,
+                "{REQUESTS} warm selects through the shard took {elapsed:?}"
+            );
         }));
         router.request_stop();
         if let Err(panic) = outcome {

@@ -59,7 +59,8 @@ impl Drop for Daemon {
 }
 
 fn roundtrip(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, request: &str) -> Json {
-    writeln!(conn, "{request}").expect("send");
+    conn.write_all(format!("{request}\n").as_bytes())
+        .expect("send");
     let mut line = String::new();
     reader.read_line(&mut line).expect("receive");
     json::parse(line.trim()).expect("response is JSON")

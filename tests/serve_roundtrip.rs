@@ -40,7 +40,9 @@ impl Client {
     }
 
     fn raw(&mut self, line: &str) -> Json {
-        writeln!(self.stream, "{line}").expect("send");
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("receive");
         json::parse(response.trim()).expect("response is one JSON line")
@@ -423,12 +425,10 @@ fn length_prefixed_framing_round_trips_through_the_daemon() {
 
         // Legacy framing interleaves on the same connection and sees the
         // same cache.
-        writeln!(
-            stream,
-            "{}",
-            Json::obj([("op", "select".into()), ("ir", ir.as_str().into())])
-        )
-        .expect("send line request");
+        let request = Json::obj([("op", "select".into()), ("ir", ir.as_str().into())]);
+        stream
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send line request");
         let mut line = String::new();
         reader.read_line(&mut line).expect("read line response");
         let again = json::parse(line.trim()).expect("line response is JSON");
