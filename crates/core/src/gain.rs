@@ -1,6 +1,7 @@
 use crate::engine::{Probe, ToggleEngine};
 use crate::{BlockContext, IoConstraints};
 use isegen_graph::NodeId;
+use std::fmt;
 
 /// Weights of the five gain-function components (paper §4.2).
 ///
@@ -29,19 +30,58 @@ use isegen_graph::NodeId;
 /// them; the defaults here were tuned on the bundled workloads (see the
 /// `ablation` experiment) so that the I/O penalty dominates per-node merit
 /// differences and the structural terms act as directional tie-breakers.
+///
+/// Weights are validated at construction ([`GainWeights::new`]): every
+/// component is finite and at most [`MAX_GAIN_WEIGHT`] in magnitude, and
+/// `merit` and `io_penalty` are non-negative. A value of this type
+/// therefore always yields finite gains, and the search never needs a
+/// NaN-tolerant path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GainWeights {
-    /// Weight of the merit component `F1`.
-    pub merit: f64,
-    /// Weight of the I/O violation penalty `F2` ("a large factor").
-    pub io_penalty: f64,
-    /// Weight of the convexity-affinity component `F3`.
-    pub affinity: f64,
-    /// Weight of the directional-growth component `F4`.
-    pub growth: f64,
-    /// Weight of the independent-cuts component `F5`.
-    pub independence: f64,
+    merit: f64,
+    io_penalty: f64,
+    affinity: f64,
+    growth: f64,
+    independence: f64,
 }
+
+/// Largest magnitude a [`GainWeights`] component may take.
+///
+/// The bound is what keeps every gain finite. Each of the five terms a
+/// weight multiplies is bounded by the block: `|F1|` by the block's
+/// software latency plus its hardware critical path, `|F2|` by twice the
+/// node count, `|F3|` by the node count, `|F4| ≤ 1`, and `|F5|` by the
+/// node count times the largest hardware delay. Node counts and software
+/// cycles are `u32`s and hardware delays are capped by
+/// [`isegen_ir::MAX_HW_DELAY`], so no term exceeds about `2⁶⁴ ≈ 1.8e19`.
+/// The search's cohesive flavour doubles `affinity`, so the largest
+/// weight actually applied is `2 · 1e6`. Five such products sum to under
+/// `1e27`, hundreds of orders of magnitude below `f64::MAX`: no gain,
+/// heap key or queue bound can overflow to `±∞` or become NaN.
+pub const MAX_GAIN_WEIGHT: f64 = 1e6;
+
+/// Why [`GainWeights::new`] rejected a component.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeightError {
+    /// Name of the offending component (`"merit"`, `"io_penalty"`,
+    /// `"affinity"`, `"growth"` or `"independence"`).
+    pub field: &'static str,
+    /// The rejected value.
+    pub value: f64,
+}
+
+impl fmt::Display for WeightError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "gain weight {} = {} must be finite, at most {MAX_GAIN_WEIGHT:e} in \
+             magnitude, and non-negative for merit and io_penalty",
+            self.field, self.value
+        )
+    }
+}
+
+impl std::error::Error for WeightError {}
 
 impl Default for GainWeights {
     fn default() -> Self {
@@ -56,6 +96,68 @@ impl Default for GainWeights {
 }
 
 impl GainWeights {
+    /// Validated weights, in the order of the gain formula. Rejects any
+    /// non-finite component, any component above [`MAX_GAIN_WEIGHT`] in
+    /// magnitude, and a negative `merit` or `io_penalty` (the max-gain
+    /// queue's bounds lean on those two entering the gain with a fixed
+    /// sign).
+    pub fn new(
+        merit: f64,
+        io_penalty: f64,
+        affinity: f64,
+        growth: f64,
+        independence: f64,
+    ) -> Result<GainWeights, WeightError> {
+        // `abs() <= bound` is false for NaN and ±∞.
+        let check = |field: &'static str, value: f64, signed: bool| {
+            (value.abs() <= MAX_GAIN_WEIGHT && (signed || value >= 0.0))
+                .then_some(value)
+                .ok_or(WeightError { field, value })
+        };
+        Ok(GainWeights {
+            merit: check("merit", merit, false)?,
+            io_penalty: check("io_penalty", io_penalty, false)?,
+            affinity: check("affinity", affinity, true)?,
+            growth: check("growth", growth, true)?,
+            independence: check("independence", independence, true)?,
+        })
+    }
+
+    /// Weight of the merit component `F1` (≥ 0).
+    pub fn merit(&self) -> f64 {
+        self.merit
+    }
+
+    /// Weight of the I/O violation penalty `F2` ("a large factor", ≥ 0).
+    pub fn io_penalty(&self) -> f64 {
+        self.io_penalty
+    }
+
+    /// Weight of the convexity-affinity component `F3`.
+    pub fn affinity(&self) -> f64 {
+        self.affinity
+    }
+
+    /// Weight of the directional-growth component `F4`.
+    pub fn growth(&self) -> f64 {
+        self.growth
+    }
+
+    /// Weight of the independent-cuts component `F5`.
+    pub fn independence(&self) -> f64 {
+        self.independence
+    }
+
+    /// The search portfolio's cohesion-boosted flavour: `affinity`
+    /// doubled, everything else kept. May exceed [`MAX_GAIN_WEIGHT`] by
+    /// that factor of two, which the bound's finiteness argument covers.
+    pub(crate) fn cohesive(self) -> GainWeights {
+        GainWeights {
+            affinity: self.affinity * 2.0,
+            ..self
+        }
+    }
+
     /// Combines a [`Probe`] into the scalar gain.
     pub fn combine(
         &self,
@@ -160,10 +262,62 @@ mod tests {
     #[test]
     fn default_weights_are_positive() {
         let w = GainWeights::default();
-        assert!(w.merit > 0.0);
-        assert!(w.io_penalty > 0.0);
-        assert!(w.affinity > 0.0);
-        assert!(w.growth > 0.0);
-        assert!(w.independence > 0.0);
+        assert!(w.merit() > 0.0);
+        assert!(w.io_penalty() > 0.0);
+        assert!(w.affinity() > 0.0);
+        assert!(w.growth() > 0.0);
+        assert!(w.independence() > 0.0);
+    }
+
+    /// `GainWeights::new` with component `i` replaced by `value`.
+    fn with_component(i: usize, value: f64) -> Result<GainWeights, WeightError> {
+        let mut c = [1.0, 50.0, 1.0, 1.0, 0.5];
+        c[i] = value;
+        GainWeights::new(c[0], c[1], c[2], c[3], c[4])
+    }
+
+    const FIELDS: [&str; 5] = ["merit", "io_penalty", "affinity", "growth", "independence"];
+
+    #[test]
+    fn every_component_rejects_non_finite_and_over_bound_values() {
+        let over = MAX_GAIN_WEIGHT * (1.0 + f64::EPSILON);
+        for (i, field) in FIELDS.iter().enumerate() {
+            for bad in [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                over,
+                -over,
+                f64::MAX,
+            ] {
+                let err = with_component(i, bad).unwrap_err();
+                assert_eq!(err.field, *field, "{bad}");
+                assert_eq!(err.value.to_bits(), bad.to_bits());
+            }
+            assert!(
+                with_component(i, MAX_GAIN_WEIGHT).is_ok(),
+                "{field} at the bound"
+            );
+            assert!(with_component(i, 0.0).is_ok(), "{field} at zero");
+        }
+    }
+
+    #[test]
+    fn merit_and_io_penalty_reject_negatives_other_terms_do_not() {
+        for (i, field) in FIELDS.iter().enumerate() {
+            let negative = with_component(i, -1.0);
+            if i < 2 {
+                assert_eq!(negative.unwrap_err().field, *field);
+                assert!(with_component(i, -f64::MIN_POSITIVE).is_err(), "{field}");
+            } else {
+                assert!(negative.is_ok(), "{field} is signed");
+                assert!(
+                    with_component(i, -MAX_GAIN_WEIGHT).is_ok(),
+                    "{field} at -bound"
+                );
+            }
+            // -0.0 compares equal to zero: not negative.
+            assert!(with_component(i, -0.0).is_ok(), "{field} at -0.0");
+        }
     }
 }

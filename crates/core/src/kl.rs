@@ -9,32 +9,11 @@ use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// How the K-L inner loop picks the max-gain candidate before each
-/// commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum SelectionStrategy {
-    /// Lazy-decrease max-gain priority queue: candidates are keyed on
-    /// frame-free cached terms, popped entries are re-validated against
-    /// the exact [`GainCache`] gain, and the toggle engine's dirty set
-    /// drives targeted reinsertion — a commit costs O(dirty · log n)
-    /// instead of O(free). Selection is bit-identical to
-    /// [`SelectionStrategy::Scan`]; under non-finite gains (hostile
-    /// weights) it falls back to the scan automatically.
-    #[default]
-    Queue,
-    /// The reference per-commit full scan over every unmarked candidate
-    /// — O(free) per commit. Retained as the semantic baseline the
-    /// queue is property-tested against (`tests/queue_parity.rs`).
-    Scan,
-}
-
 /// Knobs of the modified Kernighan–Lin search (paper Fig. 2).
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`SearchConfig::default`] (or [`SearchConfig::new`]) and the
-/// `with_*` setters, so future knobs (e.g. a multi-level coarsening
-/// pass) never break callers.
+/// `with_*` setters, so a knob added later never breaks callers.
 ///
 /// ```
 /// use isegen_core::SearchConfig;
@@ -58,10 +37,6 @@ pub struct SearchConfig {
     /// cut across restarts wins. Deterministic. `1` reproduces the
     /// paper's single-trajectory algorithm exactly.
     pub restarts: usize,
-    /// Candidate-selection strategy of the inner loop. Both strategies
-    /// produce bit-identical cuts; [`SelectionStrategy::Queue`] (the
-    /// default) is asymptotically faster on large blocks.
-    pub strategy: SelectionStrategy,
     /// Invariant-audit cadence: every `audit_cadence`-th committed
     /// toggle, re-derive the engine, gain-cache and queue state from
     /// scratch and panic with a structured [`crate::AuditReport`] on any
@@ -86,7 +61,6 @@ impl Default for SearchConfig {
             max_passes: 5,
             weights: GainWeights::default(),
             restarts: 3,
-            strategy: SelectionStrategy::default(),
             audit_cadence: 0,
             multilevel: None,
         }
@@ -115,12 +89,6 @@ impl SearchConfig {
     /// Sets the number of diversified restarts.
     pub fn with_restarts(mut self, restarts: usize) -> Self {
         self.restarts = restarts;
-        self
-    }
-
-    /// Sets the candidate-selection strategy.
-    pub fn with_strategy(mut self, strategy: SelectionStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -240,19 +208,31 @@ impl PartialOrd for QueueEntry {
 ///   only: the gate-open gain with `max(HW, through(v))` relaxed to
 ///   `HW`, again an upper bound whose slack [`HingeSlack`] closes.
 ///
-/// Requires `w_io ≥ 0` and `w_m ≥ 0` (checked once per trajectory by
-/// [`queue_weights_ok`]); the per-node-signed terms fold into the key.
-fn entering_keys(
+/// Leans on `w_io ≥ 0` and `w_m ≥ 0`, which [`GainWeights::new`]
+/// guarantees; the per-node-signed terms fold into the key. Pushes the
+/// base key, and the merit key when there is one, with the given stamp.
+fn push_entering(
+    heap_base: &mut BinaryHeap<QueueEntry>,
+    heap_merit: &mut BinaryHeap<QueueEntry>,
     weights: &GainWeights,
-    growth: f64,
-    sw: u64,
+    ctx: &BlockContext<'_>,
+    v: NodeId,
     t: &EnteringTerms,
-) -> (f64, Option<f64>) {
-    let base = -(weights.io_penalty * (t.di + t.dout) as f64)
-        + weights.affinity * t.neighbors_in_cut as f64
-        + weights.growth * growth;
-    let merit = t.local_convex.then_some(base + weights.merit * sw as f64);
-    (base, merit)
+    stamp: u32,
+) {
+    let base = -(weights.io_penalty() * (t.di + t.dout) as f64)
+        + weights.affinity() * f64::from(t.neighbors_in_cut)
+        + weights.growth() * ctx.growth_score(v);
+    let node = v.index() as u32;
+    heap_base.push(QueueEntry {
+        key: base,
+        node,
+        stamp,
+    });
+    if t.local_convex {
+        let key = base + weights.merit() * f64::from(ctx.sw_cycles(v));
+        heap_merit.push(QueueEntry { key, node, stamp });
+    }
 }
 
 /// The per-step global frame: exact offsets that turn a frame-free key
@@ -288,13 +268,14 @@ impl StepFrame {
         let o = f64::from(engine.output_count());
         let nin = f64::from(io.max_inputs());
         let nout = f64::from(io.max_outputs());
-        let off_base = -(weights.io_penalty * ((i - nin) + (o - nout)));
-        let slack_base = weights.io_penalty
-            * ((nin - i + hinges.din).max(0.0) + (nout - o + hinges.dout).max(0.0));
+        let w_io = weights.io_penalty();
+        let off_base = -(w_io * ((i - nin) + (o - nout)));
+        let slack_base =
+            w_io * ((nin - i + hinges.din).max(0.0) + (nout - o + hinges.dout).max(0.0));
         let sw = engine.software_latency() as f64;
         let hw = engine.hardware_latency();
-        let off_merit = off_base + weights.merit * (sw - hw);
-        let slack_merit = slack_base + weights.merit * (hinges.through - hw).max(0.0);
+        let off_merit = off_base + weights.merit() * (sw - hw);
+        let slack_merit = slack_base + weights.merit() * (hinges.through - hw).max(0.0);
         StepFrame {
             off_base,
             off_merit,
@@ -344,51 +325,8 @@ impl HingeSlack {
     }
 }
 
-/// The queue path needs finite weights (NaN/∞ poison every bound) and
-/// non-negative violation/merit weights: the upper-bound direction of
-/// the linearised keys leans on `(x)⁺ ≥ x` entering the gain with a
-/// non-positive sign. Anything else falls back to the reference scan.
-fn queue_weights_ok(w: &GainWeights) -> bool {
-    w.merit.is_finite()
-        && w.io_penalty.is_finite()
-        && w.affinity.is_finite()
-        && w.growth.is_finite()
-        && w.independence.is_finite()
-        && w.io_penalty >= 0.0
-        && w.merit >= 0.0
-}
-
-/// The reference selection: evaluate the gain of every unmarked free
-/// node and keep the best, ties to the lowest node id. This is the
-/// paper's literal inner loop; the queue path must match it toggle for
-/// toggle (`tests/queue_parity.rs`) and falls back to it on NaN gains.
-fn scan_select(
-    cache: &mut GainCache,
-    engine: &ToggleEngine<'_, '_>,
-    weights: &GainWeights,
-    io: IoConstraints,
-    free_nodes: &[NodeId],
-    marked: &NodeSet,
-) -> Option<NodeId> {
-    let mut chosen: Option<(f64, NodeId)> = None;
-    for &v in free_nodes {
-        if marked.contains(v) {
-            continue;
-        }
-        let g = cache.gain(engine, weights, io, v);
-        let better = match chosen {
-            None => true,
-            Some((bg, _)) => g > bg,
-        };
-        if better {
-            chosen = Some((g, v));
-        }
-    }
-    chosen.map(|(_, v)| v)
-}
-
-/// Timing and outcome of one portfolio trajectory, reported by
-/// [`bipartition_profiled`] — the per-trajectory evidence of the perf
+/// Timing and outcome of one portfolio trajectory, reported by a
+/// [`Search::profiled`] run — the per-trajectory evidence of the perf
 /// reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrajectoryReport {
@@ -548,67 +486,11 @@ impl Search {
     }
 }
 
-/// See [`Search`] — this shim returns `Search::new(config).run(..).cut`.
-#[deprecated(note = "use `Search::new(config).run(ctx, io).cut`")]
-pub fn bipartition(
-    ctx: &BlockContext<'_>,
-    io: IoConstraints,
-    config: &SearchConfig,
-    forbidden: Option<&NodeSet>,
-) -> Cut {
-    let mut pool = Vec::new();
-    search_impl(ctx, io, config, forbidden, 1, &mut pool).0
-}
-
-/// See [`Search`] — the outcome carries the statistics as
-/// [`SearchOutcome::stats`].
-#[deprecated(note = "use `Search::new(config).run(ctx, io)` and read `.cut` / `.stats`")]
-pub fn bipartition_with_stats(
-    ctx: &BlockContext<'_>,
-    io: IoConstraints,
-    config: &SearchConfig,
-    forbidden: Option<&NodeSet>,
-) -> (Cut, CacheStats) {
-    let mut pool = Vec::new();
-    let (cut, stats, _, _) = search_impl(ctx, io, config, forbidden, 1, &mut pool);
-    (cut, stats)
-}
-
-/// See [`Search`] — thread fan-out is the [`Search::threads`] knob.
-#[deprecated(note = "use `Search::new(config).threads(threads).run(ctx, io).cut`")]
-pub fn bipartition_portfolio(
-    ctx: &BlockContext<'_>,
-    io: IoConstraints,
-    config: &SearchConfig,
-    forbidden: Option<&NodeSet>,
-    threads: usize,
-) -> Cut {
-    let mut pool = Vec::new();
-    search_impl(ctx, io, config, forbidden, threads, &mut pool).0
-}
-
-/// See [`Search`] — profiling is the [`Search::profiled`] knob and the
-/// warm pool is [`Search::run_pooled`].
-#[deprecated(
-    note = "use `Search::new(config).threads(threads).profiled(true).run_pooled(ctx, io, pool)`"
-)]
-pub fn bipartition_profiled(
-    ctx: &BlockContext<'_>,
-    io: IoConstraints,
-    config: &SearchConfig,
-    forbidden: Option<&NodeSet>,
-    threads: usize,
-    pool: &mut Vec<SearchScratch>,
-) -> (Cut, CacheStats, Vec<TrajectoryReport>) {
-    let (cut, stats, reports, _) = search_impl(ctx, io, config, forbidden, threads, pool);
-    (cut, stats, reports)
-}
-
-/// The engine under [`Search`] and the deprecated `bipartition*` shims:
-/// computes the free set, dispatches oversized blocks to the multilevel
-/// pipeline when one is configured, and otherwise runs the single-level
-/// portfolio. Blocks at or below the multilevel threshold take the exact
-/// single-level code path, so enabling multilevel is a no-op for them.
+/// The engine under [`Search`] and [`IsegenFinder`]: computes the free
+/// set, dispatches oversized blocks to the multilevel pipeline when one
+/// is configured, and otherwise runs the single-level portfolio. Blocks
+/// at or below the multilevel threshold take the exact single-level
+/// code path, so enabling multilevel is a no-op for them.
 fn search_impl(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
@@ -668,10 +550,7 @@ pub(crate) fn portfolio_search(
     // butterflies). The paper tunes one weight set per evaluation; the
     // small portfolio makes the defaults robust across both regimes.
     let cohesive = SearchConfig {
-        weights: GainWeights {
-            affinity: config.weights.affinity * 2.0,
-            ..config.weights
-        },
+        weights: config.weights.cohesive(),
         ..config.clone()
     };
     let mut specs: Vec<TrajectorySpec<'_>> = Vec::new();
@@ -698,8 +577,7 @@ pub(crate) fn portfolio_search(
 
     // Deterministic merge: visit the results in spec order and keep the
     // first strict improvement — exactly the comparison sequence of the
-    // sequential scan, whatever the thread count. NaN merits (possible
-    // under hostile weights) never beat the incumbent, same as before.
+    // sequential scan, whatever the thread count.
     let mut best_cut = Cut::empty(n);
     let mut reports = Vec::with_capacity(results.len());
     for (spec, (cut, traj_stats, wall_ms)) in specs.iter().zip(results) {
@@ -754,9 +632,9 @@ fn run_trajectories(
 /// gain is recombined from cached local terms in O(1). The cached gains
 /// are bit-identical to fresh probes (`tests/gain_cache_prop.rs`).
 ///
-/// Under [`SelectionStrategy::Queue`] the per-commit argmax itself is
-/// served by a lazy max-gain heap pair instead of a full scan.
-/// Exactness rests on four invariants:
+/// The per-commit argmax itself is served by a lazy max-gain heap pair
+/// instead of a full scan over every unmarked candidate. Exactness rests
+/// on three invariants:
 ///
 /// * **Fixed sides.** A node changes side only when toggled, and every
 ///   toggled node is marked, so an unmarked candidate keeps its
@@ -764,7 +642,7 @@ fn run_trajectories(
 ///   few free *leaving* candidates (pass-start cut ∩ free) are scanned
 ///   exactly each step.
 /// * **Frame-free keys.** Heap keys fold only per-node cached terms
-///   ([`entering_keys`]); the global counts and latencies enter as an
+///   ([`push_entering`]); the global counts and latencies enter as an
 ///   exact per-step offset ([`StepFrame`]) recomputed from the live
 ///   engine at every selection. A key therefore goes stale only when
 ///   its node's cache entry changes — and the commit that dirties a
@@ -788,13 +666,11 @@ fn run_trajectories(
 ///   → base heap only, and a sole violator → base heap plus one exact
 ///   evaluation of the violator itself outside the heaps. A
 ///   violator-set flip switches regimes; it never rebuilds anything.
-/// * **NaN fallback.** Non-finite or negative violation/merit weights,
-///   or a NaN gain mid-pass, abandon the queue and finish the
-///   trajectory with the reference scan, preserving the scan's NaN
-///   semantics bit for bit.
 ///
-/// The result is toggle-for-toggle identical to the scan, ties to the
-/// lowest node id included (`tests/queue_parity.rs`), at
+/// Every bound is finite because [`GainWeights`] admits only finite,
+/// bounded weights. The result is toggle-for-toggle identical to the
+/// paper's literal full scan (strict improvement, ties to the lowest
+/// node id), which `tests/queue_parity.rs` keeps as its reference, at
 /// O((dirty + pops) · log n) per commit instead of O(free).
 fn run_trajectory(
     ctx: &BlockContext<'_>,
@@ -851,11 +727,6 @@ fn run_trajectory(
     let leave_list = &mut scratch.leave_list;
     let requeue = &mut scratch.requeue;
 
-    // Sticky queue eligibility for the whole trajectory: once a NaN
-    // gain is seen, every later step runs the scan.
-    let mut queue_ok =
-        config.strategy == SelectionStrategy::Queue && queue_weights_ok(&config.weights);
-
     // Invariant-audit cadence; the disabled path is one integer compare
     // per commit.
     let audit_every = crate::audit::effective_cadence(config.audit_cadence) as u64;
@@ -876,65 +747,39 @@ fn run_trajectory(
         // Queue state of the pass: the pass-start side split, the two
         // entering-candidate heaps keyed by frame-free terms, and the
         // hinge-slack maxima their bounds lean on.
-        let mut queue_live = queue_ok;
         let mut hinges = HingeSlack::new();
-        if queue_live {
-            start_cut.copy_from(engine.cut());
-            leave_list.clear();
-            for v in start_cut.iter() {
-                if free.contains(v) {
-                    leave_list.push(v);
-                }
+        start_cut.copy_from(engine.cut());
+        leave_list.clear();
+        for v in start_cut.iter() {
+            if free.contains(v) {
+                leave_list.push(v);
             }
-            heap_base.clear();
-            heap_merit.clear();
-            stamps.clear();
-            stamps.resize(n, 0);
-            for &v in free_nodes {
-                if start_cut.contains(v) {
-                    continue;
-                }
-                let t = cache.entering_terms(&engine, v);
-                hinges.absorb(&t);
-                let (kb, km) = entering_keys(
-                    &config.weights,
-                    ctx.growth_score(v),
-                    u64::from(ctx.sw_cycles(v)),
-                    &t,
-                );
-                let node = v.index() as u32;
-                heap_base.push(QueueEntry {
-                    key: kb,
-                    node,
-                    stamp: 0,
-                });
-                if let Some(km) = km {
-                    heap_merit.push(QueueEntry {
-                        key: km,
-                        node,
-                        stamp: 0,
-                    });
-                }
+        }
+        heap_base.clear();
+        heap_merit.clear();
+        stamps.clear();
+        stamps.resize(n, 0);
+        for &v in free_nodes {
+            if start_cut.contains(v) {
+                continue;
             }
+            let t = cache.entering_terms(&engine, v);
+            hinges.absorb(&t);
+            push_entering(heap_base, heap_merit, &config.weights, ctx, v, &t, 0);
         }
 
         for _ in 0..free_nodes.len() {
             // Pick the max-gain unmarked node; ties break to the lowest
             // node id (determinism).
             let mut chosen = forced.take();
-            if chosen.is_none() && queue_live {
+            if chosen.is_none() {
                 // Exact scan over the few leaving candidates first …
                 let mut best: Option<(f64, NodeId)> = None;
-                let mut nan_seen = false;
                 for &v in leave_list.iter() {
                     if marked.contains(v) {
                         continue;
                     }
                     let g = cache.gain(&engine, &config.weights, io, v);
-                    if g.is_nan() {
-                        nan_seen = true;
-                        break;
-                    }
                     let better = match best {
                         None => true,
                         Some((bg, _)) => g > bg,
@@ -953,21 +798,17 @@ fn run_trajectory(
                 // and skip its base-heap entries below.
                 let sig = engine.gate_signature();
                 let mut special: Option<NodeId> = None;
-                if !nan_seen && sig.0 == 1 {
+                if sig.0 == 1 {
                     let x = NodeId::from_index(sig.1 as usize);
                     if free.contains(x) && !marked.contains(x) && !start_cut.contains(x) {
                         special = Some(x);
                         let g = cache.gain(&engine, &config.weights, io, x);
-                        if g.is_nan() {
-                            nan_seen = true;
-                        } else {
-                            let wins = match best {
-                                None => true,
-                                Some((bg, bid)) => g > bg || (g == bg && x.index() < bid.index()),
-                            };
-                            if wins {
-                                best = Some((g, x));
-                            }
+                        let wins = match best {
+                            None => true,
+                            Some((bg, bid)) => g > bg || (g == bg && x.index() < bid.index()),
+                        };
+                        if wins {
+                            best = Some((g, x));
                         }
                     }
                 }
@@ -982,7 +823,7 @@ fn run_trajectory(
                 // delta), so losers restore verbatim at step end — the
                 // deferred flush is what prevents a pop/requeue
                 // livelock within the step.
-                while !nan_seen {
+                loop {
                     // Skim dead tops (stale stamp or already toggled)
                     // off each consulted heap, then race the two live
                     // bounds; base wins ties so the choice is
@@ -1049,10 +890,6 @@ fn run_trajectory(
                     let node_idx = top.node as usize;
                     let node = NodeId::from_index(node_idx);
                     let g = cache.gain(&engine, &config.weights, io, node);
-                    if g.is_nan() {
-                        nan_seen = true;
-                        break;
-                    }
                     let wins = match best {
                         None => true,
                         Some((bg, bid)) => g > bg || (g == bg && node_idx < bid.index()),
@@ -1067,112 +904,73 @@ fn run_trajectory(
                         requeue.push((top.key, top.node, from_merit));
                     }
                 }
-                if nan_seen {
-                    // Hostile weights made a gain NaN mid-pass: abandon
-                    // the queue and redo this step with the scan, whose
-                    // NaN semantics the trajectory must now follow.
-                    queue_ok = false;
-                    queue_live = false;
-                    requeue.clear();
-                } else {
-                    // Losers (and a dethroned incumbent) rejoin their
-                    // heaps verbatim: their keys fold only per-node
-                    // cached terms, all still current. The winner is
-                    // about to be committed and marked, so it stays
-                    // out.
-                    for &(key, node, from_merit) in requeue.iter() {
-                        let entry = QueueEntry {
-                            key,
-                            node,
-                            stamp: stamps[node as usize],
-                        };
-                        if from_merit {
-                            heap_merit.push(entry);
-                        } else {
-                            heap_base.push(entry);
-                        }
-                        stats.queue_reinsertions += 1;
+                // Losers (and a dethroned incumbent) rejoin their heaps
+                // verbatim: their keys fold only per-node cached terms,
+                // all still current. The winner is about to be
+                // committed and marked, so it stays out.
+                for &(key, node, from_merit) in requeue.iter() {
+                    let entry = QueueEntry {
+                        key,
+                        node,
+                        stamp: stamps[node as usize],
+                    };
+                    if from_merit {
+                        heap_merit.push(entry);
+                    } else {
+                        heap_base.push(entry);
                     }
-                    requeue.clear();
-                    chosen = best.map(|(_, v)| v);
+                    stats.queue_reinsertions += 1;
                 }
-            }
-            if chosen.is_none() && !queue_live {
-                chosen = scan_select(cache, &engine, &config.weights, io, free_nodes, marked);
+                requeue.clear();
+                chosen = best.map(|(_, v)| v);
             }
             let Some(v) = chosen else { break };
             if let Some(t) = trace.as_deref_mut() {
                 t.push(v);
             }
-            if queue_live {
-                cache.commit_tracked(&mut engine, v, touched);
-                marked.insert(v);
-                // Targeted re-key: exactly the commit's dirty delta is
-                // refreshed and re-stamped; every clean entry's key is
-                // still current because keys fold no global state.
-                // Word-level pre-mask: the dirty set is dominated by
-                // already-committed cut members (leave-term coverage),
-                // which the re-key must skip — filter them out 64 at a
-                // time instead of testing three sets per bit.
-                touched.for_each_word(|wi, w| {
-                    let mut m = w & free.word(wi) & !start_cut.word(wi) & !marked.word(wi);
-                    while m != 0 {
-                        let b = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let u = NodeId::from_index(wi * 64 + b);
-                        let t = cache.entering_terms(&engine, u);
-                        hinges.absorb(&t);
-                        let (kb, km) = entering_keys(
-                            &config.weights,
-                            ctx.growth_score(u),
-                            u64::from(ctx.sw_cycles(u)),
-                            &t,
-                        );
-                        let s = &mut stamps[u.index()];
-                        *s = s.wrapping_add(1);
-                        let node = u.index() as u32;
-                        heap_base.push(QueueEntry {
-                            key: kb,
-                            node,
-                            stamp: *s,
-                        });
-                        if let Some(km) = km {
-                            heap_merit.push(QueueEntry {
-                                key: km,
-                                node,
-                                stamp: *s,
-                            });
-                        }
-                        stats.queue_reinsertions += 1;
-                    }
-                });
-            } else {
-                cache.commit(&mut engine, v);
-                marked.insert(v);
-            }
+            cache.commit_tracked(&mut engine, v, touched);
+            marked.insert(v);
+            // Targeted re-key: exactly the commit's dirty delta is
+            // refreshed and re-stamped; every clean entry's key is still
+            // current because keys fold no global state. Word-level
+            // pre-mask: the dirty set is dominated by already-committed
+            // cut members (leave-term coverage), which the re-key must
+            // skip — filter them out 64 at a time instead of testing
+            // three sets per bit.
+            touched.for_each_word(|wi, w| {
+                let mut m = w & free.word(wi) & !start_cut.word(wi) & !marked.word(wi);
+                while m != 0 {
+                    let b = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let u = NodeId::from_index(wi * 64 + b);
+                    let t = cache.entering_terms(&engine, u);
+                    hinges.absorb(&t);
+                    let s = &mut stamps[u.index()];
+                    *s = s.wrapping_add(1);
+                    push_entering(heap_base, heap_merit, &config.weights, ctx, u, &t, *s);
+                    stats.queue_reinsertions += 1;
+                }
+            });
             commits_done += 1;
             if audit_every != 0 && commits_done.is_multiple_of(audit_every) {
                 let mut divergences = engine.audit_divergences();
                 divergences.extend(cache.audit_divergences(&engine));
-                if queue_live {
-                    // Queue stamp consistency: every unmarked entering
-                    // candidate must be covered by a live (current-
-                    // stamp) base-heap entry, or selection would
-                    // silently skip it.
-                    let mut covered = vec![false; n];
-                    for e in heap_base.iter() {
-                        let i = e.node as usize;
-                        if i < n && e.stamp == stamps[i] {
-                            covered[i] = true;
-                        }
+                // Queue stamp consistency: every unmarked entering
+                // candidate must be covered by a live (current-stamp)
+                // base-heap entry, or selection would silently skip it.
+                let mut covered = vec![false; n];
+                for e in heap_base.iter() {
+                    let i = e.node as usize;
+                    if i < n && e.stamp == stamps[i] {
+                        covered[i] = true;
                     }
-                    for &u in free_nodes {
-                        if !start_cut.contains(u) && !marked.contains(u) && !covered[u.index()] {
-                            divergences.push(format!(
-                                "queue: entering candidate n{} has no live heap entry",
-                                u.index()
-                            ));
-                        }
+                }
+                for &u in free_nodes {
+                    if !start_cut.contains(u) && !marked.contains(u) && !covered[u.index()] {
+                        divergences.push(format!(
+                            "queue: entering candidate n{} has no live heap entry",
+                            u.index()
+                        ));
                     }
                 }
                 cache.note_audit();
@@ -1215,30 +1013,29 @@ fn run_trajectory(
     (best_cut, stats, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Runs a single trajectory with the given flavour weights and no
-/// restart seed, returning the exact sequence of committed toggles —
-/// the observable `tests/queue_parity.rs` pins across
-/// [`SelectionStrategy`] values. Hidden: test scaffolding, not API.
+/// Runs a single trajectory with the configured weights, optionally
+/// forcing its first toggle onto `seed` (restart diversification),
+/// and returns the exact sequence of committed toggles — the
+/// observable `tests/queue_parity.rs` diffs against its reference full
+/// scan. Hidden: test scaffolding, not API.
 #[doc(hidden)]
 pub fn trajectory_commit_trace(
     ctx: &BlockContext<'_>,
     io: IoConstraints,
     config: &SearchConfig,
     forbidden: Option<&NodeSet>,
+    seed: Option<NodeId>,
 ) -> Vec<NodeId> {
-    let mut trace = Vec::new();
     let mut free = ctx.eligible().clone();
     if let Some(f) = forbidden {
         free.subtract(f);
     }
-    if free.is_empty() {
-        return trace;
-    }
     let free_nodes: Vec<NodeId> = free.iter().collect();
+    let mut trace = Vec::new();
     let spec = TrajectorySpec {
         config,
         flavour: "base",
-        seed: None,
+        seed,
         start: None,
     };
     let mut scratch = SearchScratch::new();
@@ -1272,9 +1069,8 @@ fn restart_seeds(
         .iter()
         .map(|&v| (gain_of(&engine, ctx, &config.weights, io, v), v))
         .collect();
-    // total_cmp, not partial_cmp().unwrap(): gains inherit NaN from
-    // user-supplied weights (the daemon accepts arbitrary f64s), and a
-    // NaN must sort deterministically, not panic the search.
+    // total_cmp, not partial_cmp().unwrap(): a total order needs no
+    // panic path (validated weights keep every gain finite anyway).
     scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
     let dag = ctx.block().dag();
@@ -1307,7 +1103,7 @@ fn restart_seeds(
 }
 
 /// [`CutFinder`] adapter for the ISEGEN bi-partition, so the generic
-/// application driver ([`crate::generate_with`]) can run ISEGEN alongside
+/// application driver ([`crate::Generator`]) can run ISEGEN alongside
 /// the baseline algorithms.
 ///
 /// The finder owns a pool of [`SearchScratch`] arenas that stays warm
@@ -1526,67 +1322,28 @@ mod tests {
     }
 
     #[test]
-    fn adversarial_weights_do_not_panic() {
-        // A service request may carry arbitrary f64 weights; NaN gains
-        // used to panic the seed sort (partial_cmp().unwrap()). Every
-        // pathological flavour must complete and return *some* cut.
-        let block = dotprod();
-        let model = LatencyModel::paper_default();
-        let ctx = BlockContext::new(&block, &model);
-        let poisoned = [
-            GainWeights {
-                merit: f64::NAN,
-                io_penalty: f64::NAN,
-                affinity: f64::NAN,
-                growth: f64::NAN,
-                independence: f64::NAN,
-            },
-            GainWeights {
-                merit: f64::INFINITY,
-                io_penalty: f64::NEG_INFINITY,
-                affinity: f64::NAN,
-                growth: 0.0,
-                independence: -0.0,
-            },
-            GainWeights {
-                merit: f64::MAX,
-                io_penalty: f64::MIN_POSITIVE,
-                affinity: -f64::MAX,
-                growth: f64::NAN,
-                independence: f64::INFINITY,
-            },
-        ];
-        for weights in poisoned {
-            let config = SearchConfig {
-                weights,
-                ..SearchConfig::default()
-            };
-            let cut = search(&ctx, IoConstraints::new(4, 2), &config, None);
-            // Whatever the search found must still be architecturally
-            // legal — the guard rails hold even under junk weights.
-            assert!(cut.is_empty() || cut.satisfies_io(IoConstraints::new(4, 2)));
-            if !cut.is_empty() {
-                assert!(ctx.is_convex(cut.nodes()));
-            }
-        }
-    }
-
-    #[test]
-    fn queue_and_scan_agree_on_dotprod() {
+    fn extreme_weights_stay_legal() {
+        // NaN, ∞ and over-bound weights cannot be built at all (see
+        // `gain.rs`); the extremes that can — every component at ±the
+        // bound or zero — must still yield finite, architecturally
+        // legal cuts.
         let block = dotprod();
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(&block, &model);
         let io = IoConstraints::new(4, 2);
-        let queue = SearchConfig::new().with_strategy(SelectionStrategy::Queue);
-        let scan = SearchConfig::new().with_strategy(SelectionStrategy::Scan);
-        assert_eq!(
-            search(&ctx, io, &queue, None),
-            search(&ctx, io, &scan, None)
-        );
-        assert_eq!(
-            trajectory_commit_trace(&ctx, io, &queue, None),
-            trajectory_commit_trace(&ctx, io, &scan, None),
-        );
+        let m = crate::MAX_GAIN_WEIGHT;
+        for (merit, io_penalty, affinity, growth, independence) in
+            [(m, 0.0, -m, -m, m), (0.0, m, m, 0.0, -m), (m, m, m, m, m)]
+        {
+            let weights = GainWeights::new(merit, io_penalty, affinity, growth, independence)
+                .expect("in-range weights");
+            let cut = search(&ctx, io, &SearchConfig::new().with_weights(weights), None);
+            assert!(cut.merit().is_finite());
+            assert!(cut.is_empty() || cut.satisfies_io(io));
+            if !cut.is_empty() {
+                assert!(ctx.is_convex(cut.nodes()));
+            }
+        }
     }
 
     #[test]

@@ -21,13 +21,13 @@
 //!   claim is verified rather than proven-by-reference).
 //! * [`GainWeights`] / the gain function — the five weighted control
 //!   parameters of §4.2 (merit, I/O penalty, convexity affinity,
-//!   directional growth, independent cuts).
+//!   directional growth, independent cuts), validated at construction
+//!   so every gain is finite.
 //! * [`Search`] — the modified Kernighan–Lin pass structure of Fig. 2,
 //!   served by [`GainCache`]: a dirty-set probe cache that re-evaluates
 //!   only the candidates a committed toggle could have changed, and a
-//!   lazy-decrease max-gain queue ([`SelectionStrategy::Queue`]) that
-//!   replaces the per-commit full scan ([`SearchOutcome`] exposes the
-//!   probes-avoided and queue counters).
+//!   lazy-decrease max-gain queue that replaces the per-commit full scan
+//!   ([`SearchOutcome`] exposes the probes-avoided and queue counters).
 //! * [`Generator`] — the whole-application driver (Problem 2): block
 //!   ranking by speedup potential, up to `N_ISE` successive
 //!   bi-partitions, optional reuse of each ISE across all its isomorphic
@@ -84,20 +84,10 @@ pub use coarsen::{LevelReport, MultilevelConfig, MultilevelReport};
 pub use constraints::IoConstraints;
 pub use context::{BlockContext, ContextData};
 pub use cut::Cut;
-#[allow(deprecated)]
-pub use driver::{
-    generate, generate_batched, generate_batched_in_contexts, generate_batched_with,
-    generate_in_contexts, generate_with,
-};
 pub use driver::{CutFinder, Generator, Ise, IseConfig, IseInstance, IseSelection};
 pub use engine::{EngineArena, Probe, ToggleEngine};
-pub use gain::GainWeights;
+pub use gain::{GainWeights, WeightError, MAX_GAIN_WEIGHT};
 #[doc(hidden)]
 pub use kl::trajectory_commit_trace;
-#[allow(deprecated)]
-pub use kl::{bipartition, bipartition_portfolio, bipartition_profiled, bipartition_with_stats};
-pub use kl::{
-    IsegenFinder, Search, SearchConfig, SearchOutcome, SearchScratch, SelectionStrategy,
-    TrajectoryReport,
-};
+pub use kl::{IsegenFinder, Search, SearchConfig, SearchOutcome, SearchScratch, TrajectoryReport};
 pub use speedup::application_speedup;

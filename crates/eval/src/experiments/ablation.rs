@@ -38,16 +38,16 @@ impl Variant {
 
     /// The variant's weights.
     pub fn weights(self) -> GainWeights {
-        let mut w = GainWeights::default();
-        match self {
-            Variant::Full => {}
-            Variant::NoMerit => w.merit = 0.0,
-            Variant::NoIoPenalty => w.io_penalty = 0.0,
-            Variant::NoAffinity => w.affinity = 0.0,
-            Variant::NoGrowth => w.growth = 0.0,
-            Variant::NoIndependence => w.independence = 0.0,
-        }
-        w
+        let d = GainWeights::default();
+        let keep = |off: Variant, w: f64| if self == off { 0.0 } else { w };
+        GainWeights::new(
+            keep(Variant::NoMerit, d.merit()),
+            keep(Variant::NoIoPenalty, d.io_penalty()),
+            keep(Variant::NoAffinity, d.affinity()),
+            keep(Variant::NoGrowth, d.growth()),
+            keep(Variant::NoIndependence, d.independence()),
+        )
+        .expect("zeroing a default weight keeps it in range")
     }
 
     /// Short label.
@@ -143,8 +143,8 @@ mod tests {
     fn variants_cover_all_components() {
         assert_eq!(Variant::ALL.len(), 6);
         let w = Variant::NoGrowth.weights();
-        assert_eq!(w.growth, 0.0);
-        assert!(w.merit > 0.0);
+        assert_eq!(w.growth(), 0.0);
+        assert!(w.merit() > 0.0);
         assert_eq!(Variant::Full.weights(), GainWeights::default());
     }
 

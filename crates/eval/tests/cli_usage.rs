@@ -50,6 +50,9 @@ fn perf_report_rejects_bad_args_with_exit_2() {
     assert_usage_error(bin, &["--frobnicate"]);
     assert_usage_error(bin, &["--threads", "-1"]);
     assert_usage_error(bin, &["--out"]);
+    // The scan strategy is gone: the queue is the only K-L selection.
+    assert_usage_error(bin, &["--strategy", "scan"]);
+    assert_usage_error(bin, &["--strategy"]);
 }
 
 #[test]

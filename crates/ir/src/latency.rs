@@ -94,10 +94,11 @@ impl LatencyModel {
     ///
     /// # Panics
     ///
-    /// Panics if `delay` is negative or not finite.
+    /// Panics if `delay` is negative, not finite, or above
+    /// [`MAX_HW_DELAY`].
     pub fn with_hw_delay(mut self, op: Opcode, delay: f64) -> Self {
         assert!(
-            delay.is_finite() && delay >= 0.0,
+            (0.0..=MAX_HW_DELAY).contains(&delay),
             "invalid hw delay {delay}"
         );
         self.hw[op.as_index()] = delay;
@@ -114,6 +115,12 @@ impl LatencyModel {
         self
     }
 }
+
+/// Largest hardware delay [`LatencyModel::with_hw_delay`] accepts, in
+/// MAC units (the paper's operators take at most 1). Together with the
+/// gain-weight bound of the search, it keeps every gain finite: a sum
+/// of hardware delays over a block stays far below `f64::MAX`.
+pub const MAX_HW_DELAY: f64 = 1e6;
 
 impl Default for LatencyModel {
     fn default() -> Self {
@@ -165,6 +172,24 @@ mod tests {
     #[should_panic(expected = "invalid hw delay")]
     fn negative_delay_rejected() {
         let _ = LatencyModel::paper_default().with_hw_delay(Opcode::Add, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid hw delay")]
+    fn over_bound_delay_rejected() {
+        let _ = LatencyModel::paper_default().with_hw_delay(Opcode::Add, MAX_HW_DELAY * 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid hw delay")]
+    fn infinite_delay_rejected() {
+        let _ = LatencyModel::paper_default().with_hw_delay(Opcode::Add, f64::INFINITY);
+    }
+
+    #[test]
+    fn delay_at_bound_accepted() {
+        let m = LatencyModel::paper_default().with_hw_delay(Opcode::Add, MAX_HW_DELAY);
+        assert_eq!(m.hw_delay(Opcode::Add), MAX_HW_DELAY);
     }
 
     #[test]

@@ -57,6 +57,6 @@ pub use app::Application;
 pub use block::BasicBlock;
 pub use builder::BlockBuilder;
 pub use error::BuildError;
-pub use latency::LatencyModel;
+pub use latency::{LatencyModel, MAX_HW_DELAY};
 pub use opcode::{Opcode, Operation};
 pub use text::{parse_application, write_application, TextError};

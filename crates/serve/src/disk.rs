@@ -17,7 +17,7 @@
 //!
 //! Payloads are tagged (`1` = application, `2` = selection) and encode
 //! everything needed to rebuild the memo bit-for-bit: node sets as id
-//! lists, `f64`s by bit pattern (NaN weights survive), counts as fixed-
+//! lists, `f64`s by bit pattern (exact round trip), counts as fixed-
 //! width little-endian integers. See [`encode_record`].
 //!
 //! # Recovery guarantees

@@ -426,9 +426,13 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII by construction");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("number out of range"))
+        // The grammar above admits only valid float syntax, so the parse
+        // cannot fail — but it overflows to ±∞ past f64::MAX (`1e400`),
+        // which JSON cannot represent.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 }
 
@@ -452,6 +456,19 @@ mod tests {
             let emitted = v.to_string();
             assert_eq!(parse(&emitted).unwrap(), v, "{text}");
         }
+    }
+
+    #[test]
+    fn numbers_beyond_f64_are_rejected() {
+        for text in ["1e400", "-1e400", r#"{"weights":{"merit":1e400}}"#] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.message, "number out of range", "{text}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Json::Num(1e308));
+        let Json::Num(z) = parse("-0.0").unwrap() else {
+            panic!("-0.0 is a number")
+        };
+        assert!(z == 0.0 && z.is_sign_negative());
     }
 
     #[test]

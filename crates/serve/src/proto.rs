@@ -42,6 +42,10 @@
 //! "growth":…, "independence":…}`) and `multilevel`
 //! (`{"min_coarse_ops":…, "max_levels":…, "boundary_band":…}`, each
 //! member optional). Defaults are the paper's headline configuration.
+//! Weights go through [`GainWeights::new`]: each must be finite with
+//! magnitude at most [`isegen_core::MAX_GAIN_WEIGHT`], and `merit` and
+//! `io_penalty` must be non-negative; anything else is a `protocol`
+//! error naming the field.
 //! `threads` is the overall driver budget (block waves × intra-block
 //! portfolios, split automatically); `portfolio_threads` additionally
 //! floors the intra-block portfolio fan-out — useful when a request has
@@ -255,13 +259,14 @@ pub fn parse_config(config: Option<&Json>) -> Result<RequestConfig, ProtoError> 
             ));
         }
         let d = GainWeights::default();
-        out.search.weights = GainWeights {
-            merit: weight(w, "merit", d.merit)?,
-            io_penalty: weight(w, "io_penalty", d.io_penalty)?,
-            affinity: weight(w, "affinity", d.affinity)?,
-            growth: weight(w, "growth", d.growth)?,
-            independence: weight(w, "independence", d.independence)?,
-        };
+        out.search.weights = GainWeights::new(
+            weight(w, "merit", d.merit())?,
+            weight(w, "io_penalty", d.io_penalty())?,
+            weight(w, "affinity", d.affinity())?,
+            weight(w, "growth", d.growth())?,
+            weight(w, "independence", d.independence())?,
+        )
+        .map_err(|e| ProtoError::new("protocol", format!("config.weights.{}: {e}", e.field)))?;
     }
     Ok(out)
 }
@@ -341,10 +346,13 @@ mod tests {
         assert_eq!(cfg.portfolio_threads, 2);
         assert_eq!(cfg.search.max_passes, 2);
         assert_eq!(cfg.search.restarts, 1);
-        assert_eq!(cfg.search.weights.merit, 2.0);
-        assert_eq!(cfg.search.weights.io_penalty, 10.0);
+        assert_eq!(cfg.search.weights.merit(), 2.0);
+        assert_eq!(cfg.search.weights.io_penalty(), 10.0);
         // unspecified weights keep their defaults
-        assert_eq!(cfg.search.weights.affinity, GainWeights::default().affinity);
+        assert_eq!(
+            cfg.search.weights.affinity(),
+            GainWeights::default().affinity()
+        );
         // absent portfolio knob defaults to a sequential portfolio
         let j = json::parse(r#"{"threads":8}"#).unwrap();
         assert_eq!(parse_config(Some(&j)).unwrap().portfolio_threads, 1);
@@ -427,10 +435,32 @@ mod tests {
             let err = parse_config(Some(&j)).unwrap_err();
             assert_eq!(err.kind, "protocol", "{text}");
         }
-        // NaN weights are *accepted* — the library is NaN-safe and the
-        // daemon must not be the layer that decides they are wrong.
         let j = json::parse(r#"{"weights":{"merit":null}}"#).unwrap();
         assert!(parse_config(Some(&j)).is_err(), "null is not a number");
+    }
+
+    #[test]
+    fn out_of_range_weights_name_their_field() {
+        for (text, field) in [
+            (r#"{"weights":{"merit":-1}}"#, "merit"),
+            (r#"{"weights":{"io_penalty":-0.5}}"#, "io_penalty"),
+            (r#"{"weights":{"io_penalty":1e7}}"#, "io_penalty"),
+            (r#"{"weights":{"affinity":-2e6}}"#, "affinity"),
+            (r#"{"weights":{"growth":1e300}}"#, "growth"),
+            (r#"{"weights":{"independence":-1e9}}"#, "independence"),
+        ] {
+            let err = parse_config(Some(&json::parse(text).unwrap())).unwrap_err();
+            let named = err.message.starts_with(&format!("config.weights.{field}:"));
+            assert!(err.kind == "protocol" && named, "{text} → {err}");
+        }
+        // The accepted range is closed, and signed for the structural terms.
+        let j = json::parse(
+            r#"{"weights":{"merit":0,"io_penalty":1e6,"affinity":-1e6,"growth":-0.0,"independence":1e6}}"#,
+        )
+        .unwrap();
+        let w = parse_config(Some(&j)).unwrap().search.weights;
+        assert_eq!(w.io_penalty(), 1e6);
+        assert_eq!(w.affinity(), -1e6);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use isegen::core::{
     BlockContext, GainWeights, Generator, IoConstraints, IseConfig, IsegenFinder, Search,
-    SearchConfig,
+    SearchConfig, MAX_GAIN_WEIGHT,
 };
 use isegen::ir::LatencyModel;
 use isegen::workloads::{aes, random_application, RandomWorkloadConfig};
@@ -88,9 +88,9 @@ proptest! {
         }
     }
 
-    /// Hostile weights (NaN/∞) must not open a thread-count-dependent
-    /// path through the merge: NaN merits lose to the incumbent in the
-    /// same order at every thread count.
+    /// Extreme but valid weights (each component at zero or ±the
+    /// bound) must not open a thread-count-dependent path through the
+    /// merge. Non-finite weights cannot be built at all.
     #[test]
     fn portfolio_parity_under_hostile_weights(
         seed in any::<u64>(),
@@ -106,17 +106,18 @@ proptest! {
         let model = LatencyModel::paper_default();
         let ctx = BlockContext::new(block, &model);
         let io = IoConstraints::new(4, 2);
-        let config = SearchConfig::new().with_weights(GainWeights {
-            merit: f64::NAN,
-            io_penalty: f64::INFINITY,
-            affinity: f64::NAN,
-            growth: f64::NEG_INFINITY,
-            independence: f64::NAN,
-        });
-        let sequential = Search::new(config.clone()).run(&ctx, io).cut;
-        for threads in THREAD_COUNTS {
-            let parallel = Search::new(config.clone()).threads(threads).run(&ctx, io).cut;
-            prop_assert_eq!(&parallel, &sequential, "NaN-weight divergence at {} threads", threads);
+        let m = MAX_GAIN_WEIGHT;
+        for (merit, io_penalty, affinity, growth, independence) in
+            [(m, 0.0, -m, m, -m), (0.0, m, m, -m, 0.0)]
+        {
+            let weights = GainWeights::new(merit, io_penalty, affinity, growth, independence)
+                .expect("corner weights are in range");
+            let config = SearchConfig::new().with_weights(weights);
+            let sequential = Search::new(config.clone()).run(&ctx, io).cut;
+            for threads in THREAD_COUNTS {
+                let parallel = Search::new(config.clone()).threads(threads).run(&ctx, io).cut;
+                prop_assert_eq!(&parallel, &sequential, "{:?} at {} threads", weights, threads);
+            }
         }
     }
 }
@@ -185,7 +186,7 @@ fn single_block_app_gets_portfolio_budget() {
 #[test]
 fn arena_pool_reuse_is_counted_and_results_unchanged() {
     // The acceptance assertion for "no per-trajectory allocation":
-    // within one sequential bipartition, only the very first trajectory
+    // within one sequential search, only the very first trajectory
     // builds arena buffers; every later trajectory reuses the pooled
     // SearchScratch. Across repeated searches on a warm finder the
     // arenas stay warm (reuses == trajectories).

@@ -356,16 +356,46 @@ fn hostile_requests_get_structured_errors_not_dead_connections() {
                 "{line} → {response}"
             );
         }
-        // NaN weights: the request must *succeed* — the library is
-        // NaN-proof end to end (kl.rs sorts with total_cmp now).
-        let nan = client.raw(
-            r#"{"op":"select","ir":"app a\nblock b freq 5\n  x = in\n  y = in\n  m = mul x y\n  s = add m x\nend\n","config":{"weights":{"merit":1e400,"affinity":-1e400}}}"#,
-        );
-        assert_eq!(
-            nan.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "non-finite weights must not kill the request: {nan}"
-        );
+        // Weights outside the accepted range: a JSON number beyond f64
+        // (`1e400` would parse to ∞) is a parse error, and a negative
+        // merit or over-bound I/O penalty is a protocol error naming the
+        // field. None of them reaches the search.
+        let select = |weights: &str| {
+            format!(
+                r#"{{"op":"select","ir":"app a\nblock b freq 5\n  x = in\n  y = in\n  m = mul x y\n  s = add m x\nend\n","config":{{"weights":{weights}}}}}"#
+            )
+        };
+        for (weights, kind, names) in [
+            (
+                r#"{"merit":1e400,"affinity":-1e400}"#,
+                "parse",
+                "out of range",
+            ),
+            (r#"{"merit":-1}"#, "protocol", "config.weights.merit"),
+            (
+                r#"{"io_penalty":1e7}"#,
+                "protocol",
+                "config.weights.io_penalty",
+            ),
+        ] {
+            let response = client.raw(&select(weights));
+            let member = |k: &str| response.get(k).and_then(Json::as_str).map(str::to_owned);
+            assert_eq!(
+                response.get("ok").and_then(Json::as_bool),
+                Some(false),
+                "{response}"
+            );
+            assert_eq!(
+                member("kind").as_deref(),
+                Some(kind),
+                "{weights} → {response}"
+            );
+            let error = member("error").unwrap_or_default();
+            assert!(error.contains(names), "{weights} → {response}");
+        }
+        // In-range weights on the same request shape still succeed.
+        let ok = client.raw(&select(r#"{"merit":0,"affinity":-1e6}"#));
+        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok}");
         // And the connection still works.
         let pong = client.raw(r#"{"op":"ping"}"#);
         assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
